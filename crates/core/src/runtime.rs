@@ -124,13 +124,19 @@ impl fmt::Display for AbortReason {
 /// size a retry budget or report progress, *not* a usable result (an
 /// aborted run returns no tables; §3.3 forbids publishing partial
 /// decisions that a resumed run might not reproduce).
+///
+/// The three meter fields are frozen at the guard's *first* trip:
+/// work that other workers charge between the trip and the abort
+/// (a task pre-charged but never run) is not counted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartialStats {
-    /// Wall milliseconds from guard creation to the trip.
+    /// Wall milliseconds from guard creation to the first trip.
     pub elapsed_ms: u64,
-    /// Candidate pairs charged so far.
+    /// Candidate pairs charged at the first trip — for
+    /// [`AbortReason::PairBudgetExceeded`], exactly its `observed`.
     pub pairs_charged: u64,
-    /// Pair-list bytes charged so far.
+    /// Pair-list bytes charged at the first trip — for
+    /// [`AbortReason::MemBudgetExceeded`], exactly its `observed`.
     pub bytes_charged: u64,
     /// Engine tasks that had completed.
     pub tasks_completed: u64,
@@ -159,12 +165,21 @@ impl fmt::Display for PartialStats {
     }
 }
 
+/// The first trip: its reason and the meters frozen with it.
+#[derive(Debug, Clone)]
+struct Trip {
+    reason: AbortReason,
+    elapsed_ms: u64,
+    pairs: u64,
+    bytes: u64,
+}
+
 #[derive(Debug)]
 struct GuardInner {
     cancelled: AtomicBool,
-    /// Fast-path flag mirroring `reason`'s occupancy.
+    /// Fast-path flag mirroring `trip`'s occupancy.
     tripped: AtomicBool,
-    reason: Mutex<Option<AbortReason>>,
+    trip: Mutex<Option<Trip>>,
     started: Instant,
     deadline: Option<Instant>,
     timeout_ms: Option<u64>,
@@ -206,7 +221,7 @@ impl RunGuard {
             inner: Arc::new(GuardInner {
                 cancelled: AtomicBool::new(false),
                 tripped: AtomicBool::new(false),
-                reason: Mutex::new(None),
+                trip: Mutex::new(None),
                 started,
                 deadline: budget
                     .timeout_ms
@@ -228,12 +243,30 @@ impl RunGuard {
     }
 
     /// Records `reason` as this run's abort cause (first trip wins)
-    /// and returns the winning reason.
+    /// and returns the winning reason. The first trip also freezes
+    /// the meters that [`RunGuard::partial_stats`] reports; a budget
+    /// reason's `observed` is the frozen value of its own meter.
     pub fn trip(&self, reason: AbortReason) -> AbortReason {
-        let mut slot = self.inner.reason.lock().unwrap_or_else(|e| e.into_inner());
-        let winner = slot.get_or_insert(reason).clone();
+        let mut slot = self.lock_trip();
+        let first = slot.get_or_insert_with(|| Trip {
+            elapsed_ms: self.elapsed_ms(),
+            pairs: match reason {
+                AbortReason::PairBudgetExceeded { observed, .. } => observed,
+                _ => self.pairs_charged(),
+            },
+            bytes: match reason {
+                AbortReason::MemBudgetExceeded { observed, .. } => observed,
+                _ => self.bytes_charged(),
+            },
+            reason,
+        });
+        let winner = first.reason.clone();
         self.inner.tripped.store(true, Ordering::Release);
         winner
+    }
+
+    fn lock_trip(&self) -> std::sync::MutexGuard<'_, Option<Trip>> {
+        self.inner.trip.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Whether the guard has tripped (cheap: one atomic load).
@@ -246,11 +279,7 @@ impl RunGuard {
         if !self.is_tripped() {
             return None;
         }
-        self.inner
-            .reason
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.lock_trip().as_ref().map(|t| t.reason.clone())
     }
 
     /// Charges `n` candidate pairs against the budget. Checked at the
@@ -353,9 +382,18 @@ impl RunGuard {
         Ok(())
     }
 
-    /// A [`PartialStats`] snapshot of this guard's meters; the caller
-    /// fills in the task/table fields it knows.
+    /// A [`PartialStats`] snapshot of this guard's meters — frozen at
+    /// the first trip once the guard has tripped, live before that;
+    /// the caller fills in the task/table fields it knows.
     pub fn partial_stats(&self) -> PartialStats {
+        if let Some(t) = self.lock_trip().as_ref() {
+            return PartialStats {
+                elapsed_ms: t.elapsed_ms,
+                pairs_charged: t.pairs,
+                bytes_charged: t.bytes,
+                ..PartialStats::default()
+            };
+        }
         PartialStats {
             elapsed_ms: self.elapsed_ms(),
             pairs_charged: self.pairs_charged(),
@@ -471,6 +509,47 @@ mod tests {
         assert_eq!(p.pairs_charged, 5);
         assert_eq!(p.bytes_charged, 40);
         assert_eq!(p.tasks_total, 0);
+    }
+
+    #[test]
+    fn partial_stats_freeze_at_the_first_trip() {
+        let g = RunGuard::new(&RunBudget {
+            max_candidate_pairs: Some(10),
+            ..RunBudget::default()
+        });
+        g.charge_pairs(11);
+        g.charge_bytes(8);
+        let observed = match g.checkpoint() {
+            Err(AbortReason::PairBudgetExceeded { observed, .. }) => observed,
+            other => panic!("expected a pair-budget trip, got {other:?}"),
+        };
+        let at_trip = g.partial_stats();
+        // A worker charges a task after the trip; a later trip loses.
+        g.charge_pairs(500);
+        g.charge_bytes(64);
+        g.trip(AbortReason::Cancelled);
+        std::thread::sleep(Duration::from_millis(5));
+        let p = g.partial_stats();
+        assert_eq!(p.pairs_charged, observed);
+        assert_eq!(p.bytes_charged, 8);
+        assert_eq!(
+            p.elapsed_ms, at_trip.elapsed_ms,
+            "elapsed ran past the trip"
+        );
+        // The live meters still move; only the snapshot is frozen.
+        assert_eq!(g.pairs_charged(), 511);
+    }
+
+    #[test]
+    fn mem_trip_freezes_its_observed_bytes() {
+        let g = RunGuard::unlimited();
+        g.charge_bytes(3);
+        g.trip(AbortReason::MemBudgetExceeded {
+            limit: 1,
+            observed: 2,
+        });
+        g.charge_bytes(100);
+        assert_eq!(g.partial_stats().bytes_charged, 2);
     }
 
     #[test]

@@ -910,6 +910,14 @@ mod tests {
         (r, s, key, ilfds)
     }
 
+    /// The `store/*` fault sites count calls process-wide, so every
+    /// test here that writes or opens a store holds this lock — a
+    /// concurrent write would otherwise use up an armed trigger.
+    fn store_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("eid-ds-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
@@ -924,6 +932,7 @@ mod tests {
 
     #[test]
     fn write_open_roundtrip_preserves_everything() {
+        let _l = store_lock();
         let ds = encode_world(40, 7);
         let parent = tmp("roundtrip");
         let dir = parent.join("t.eids");
@@ -968,12 +977,14 @@ mod tests {
 
     #[test]
     fn open_missing_dir_is_typed() {
+        let _l = store_lock();
         let err = Dataset::open(Path::new("/nonexistent/x.eids")).unwrap_err();
         assert!(matches!(err, CoreError::Store { .. }), "{err}");
     }
 
     #[test]
     fn every_required_file_resists_truncation_and_bitflips() {
+        let _l = store_lock();
         let ds = encode_world(25, 11);
         let parent = tmp("corrupt");
         let dir = parent.join("t.eids");
@@ -1017,6 +1028,7 @@ mod tests {
 
     #[test]
     fn failed_write_leaks_nothing() {
+        let _l = store_lock();
         let ds = encode_world(10, 3);
         let parent = tmp("faulty");
         let dir = parent.join("t.eids");
@@ -1034,6 +1046,8 @@ mod tests {
         use crate::matcher::EntityMatcher;
         use crate::plan::StatsSource;
         use std::sync::Arc;
+
+        let _l = store_lock();
 
         let (r, s, key, ilfds) = world(24, 1);
         let config = MatchConfig::new(key.clone(), ilfds.clone());
@@ -1093,6 +1107,7 @@ mod tests {
 
     #[test]
     fn store_files_reports_sizes() {
+        let _l = store_lock();
         let ds = encode_world(12, 5);
         let parent = tmp("sizes");
         let dir = parent.join("t.eids");

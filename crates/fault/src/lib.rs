@@ -34,6 +34,15 @@
 //! for one site can hit both a first attempt and its degraded rerun.
 //! Determinism: with a fixed plan and seed, the k-th call at a site
 //! is the same call in every run.
+//!
+//! ## Tests share one lock per binary
+//!
+//! The plan and its call counts are process-wide, and a test binary
+//! runs its tests on concurrent threads. A call at an armed site from
+//! *any* thread advances the count, so a concurrent test can use up a
+//! trigger meant for another. Every test in a binary that passes
+//! through an armed site must therefore hold that binary's shared
+//! lock for its whole body — not just the tests that arm a plan.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -296,6 +296,16 @@ fn parse_line(line: &str, line_no: usize) -> Result<Vec<Cell>> {
     Ok(cells)
 }
 
+/// Every CSV read passes the `csv/read` fault site, whose call count
+/// is process-global: each test in this binary that reads CSV holds
+/// this lock, so no concurrent read advances the count under the
+/// fault-armed test.
+#[cfg(test)]
+fn csv_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +316,7 @@ mod tests {
 
     #[test]
     fn round_trip_with_nulls() {
+        let _l = csv_lock();
         let mut rel = Relation::new_unchecked(schema());
         rel.insert(Tuple::of_strs(&["villagewok", "chinese"]))
             .unwrap();
@@ -318,6 +329,7 @@ mod tests {
 
     #[test]
     fn quoting_round_trips_commas_quotes_and_literal_null_string() {
+        let _l = csv_lock();
         let mut rel = Relation::new_unchecked(schema());
         rel.insert(Tuple::of_strs(&["a,b", "he said \"hi\""]))
             .unwrap();
@@ -330,6 +342,7 @@ mod tests {
 
     #[test]
     fn header_mismatch_is_error() {
+        let _l = csv_lock();
         let csv = "wrong,header\na,b\n";
         let err = from_csv(schema(), csv).unwrap_err();
         assert!(matches!(err, RelationalError::Csv { line: 1, .. }));
@@ -337,6 +350,7 @@ mod tests {
 
     #[test]
     fn bad_arity_is_error_with_line_number() {
+        let _l = csv_lock();
         let csv = "name,cuisine\na\n";
         let err = from_csv(schema(), csv).unwrap_err();
         assert!(matches!(
@@ -351,6 +365,7 @@ mod tests {
 
     #[test]
     fn unterminated_quote_is_error_with_column() {
+        let _l = csv_lock();
         let csv = "name,cuisine\nabc,\"def\n";
         let err = from_csv(schema(), csv).unwrap_err();
         assert!(
@@ -369,6 +384,7 @@ mod tests {
 
     #[test]
     fn stray_quote_reports_its_column() {
+        let _l = csv_lock();
         let csv = "name,cuisine\nab\"c,def\n";
         let err = from_csv(schema(), csv).unwrap_err();
         assert!(
@@ -386,6 +402,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_after_quoted_cell_reports_column() {
+        let _l = csv_lock();
         let csv = "name,cuisine\n\"ab\"x,def\n";
         let err = from_csv(schema(), csv).unwrap_err();
         assert!(
@@ -403,6 +420,7 @@ mod tests {
 
     #[test]
     fn lenient_skips_bad_rows_and_reports_them() {
+        let _l = csv_lock();
         let csv = "name,cuisine\ngood1,chinese\nonly-one-cell\ngood2,greek\n\"broken\n";
         let (rel, rejects) = from_csv_lenient(schema(), csv).unwrap();
         assert_eq!(rel.len(), 2);
@@ -414,6 +432,7 @@ mod tests {
 
     #[test]
     fn lenient_still_fails_on_bad_header() {
+        let _l = csv_lock();
         let csv = "wrong,header\na,b\n";
         assert!(from_csv_lenient(schema(), csv).is_err());
         assert!(from_csv_lenient(schema(), "").is_err());
@@ -426,6 +445,7 @@ mod inferred_tests {
 
     #[test]
     fn infers_schema_from_header() {
+        let _l = csv_lock();
         let csv = "name,cuisine\nvillagewok,chinese\nching,chinese\n";
         let rel = from_csv_inferred("R", csv, &["name"]).unwrap();
         assert_eq!(rel.len(), 2);
@@ -434,6 +454,7 @@ mod inferred_tests {
 
     #[test]
     fn enforces_declared_key() {
+        let _l = csv_lock();
         let csv = "name,cuisine\na,chinese\na,greek\n";
         assert!(from_csv_inferred("R", csv, &["name"]).is_err());
         assert!(from_csv_inferred("R", csv, &["name", "cuisine"]).is_ok());
@@ -441,12 +462,14 @@ mod inferred_tests {
 
     #[test]
     fn unknown_key_attribute_is_error() {
+        let _l = csv_lock();
         let csv = "name\na\n";
         assert!(from_csv_inferred("R", csv, &["nope"]).is_err());
     }
 
     #[test]
     fn lenient_inferred_skips_key_violations() {
+        let _l = csv_lock();
         let csv = "name,cuisine\na,chinese\na,greek\nb,thai\n";
         let (rel, rejects) = from_csv_inferred_lenient("R", csv, &["name"]).unwrap();
         assert_eq!(rel.len(), 2); // first `a` wins, duplicate skipped
@@ -466,7 +489,9 @@ mod fault_tests {
     #[test]
     fn injected_read_error_surfaces_and_lenient_survives_it() {
         // Process-global fault state: this is the only fault-armed
-        // test in this crate's test binary.
+        // test in this crate's test binary, but every CSV-reading test
+        // passes `csv/read`, so all of them share `csv_lock`.
+        let _l = csv_lock();
         eid_fault::install("csv/read@2", 0).unwrap();
         let csv = "name,cuisine\na,chinese\nb,greek\nc,thai\n";
         let (rel, rejects) = from_csv_lenient(

@@ -6,8 +6,11 @@
 //! abort or injected fault mid-stream must surface as a typed error
 //! with coherent partial stats — never a panic, never a wrong table.
 //!
-//! The fault plan is process-global; tests that arm one serialize on
-//! a mutex and clear it before returning.
+//! The fault plan and its per-site call counts are process-global, so
+//! every test that reaches an instrumented site (any engine run passes
+//! `engine/sink_merge`) serializes on one mutex — otherwise a
+//! concurrent run uses up an armed trigger — and a test that arms a
+//! plan clears it before returning.
 //!
 //! [`Sink`]: entity_id::core::plan::PlanNodeKind::Sink
 
@@ -99,6 +102,7 @@ proptest! {
     /// — streaming is an execution detail, never a semantic one.
     #[test]
     fn streamed_equals_buffered_at_any_thread_count(config in arb_config()) {
+        let _l = lock();
         let w = generate(&config);
         let base = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
 
@@ -136,6 +140,7 @@ proptest! {
         world_seed in any::<u64>(),
         max_pairs in 1..30_000u64,
     ) {
+        let _l = lock();
         let (w, config) = world(n, world_seed);
 
         let mut oracle_cfg = config.clone();
@@ -272,6 +277,7 @@ fn sink_merge_fault_degrades_and_matches_oracle() {
 fn cancel_mid_stream_is_typed() {
     use entity_id::core::runtime::RunGuard;
 
+    let _l = lock();
     let (w, mut config) = world(400, 11);
     config.threads = 2;
     config.emit = EmitHint::Streamed;

@@ -5,8 +5,11 @@
 //! [`CoreError::Store`], never a panic and never a half-written
 //! dataset left on disk.
 //!
-//! The fault plan is process-global; tests that arm one serialize on
-//! a mutex and clear it before returning.
+//! The fault plan and its per-site call counts are process-global, so
+//! every test that writes or opens a store (passing the `store/*`
+//! sites) serializes on one mutex — otherwise a concurrent write or
+//! open uses up an armed trigger — and a test that arms a plan clears
+//! it before returning.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,6 +117,7 @@ proptest! {
     /// encode from computed ones.
     #[test]
     fn reopened_store_matches_in_memory_everywhere(config in arb_config()) {
+        let _l = lock();
         let w = generate(&config);
         let want = oracle(&w);
 
